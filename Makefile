@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test check cover bench bench-smoke bench-churn bench-lifecycle bench-trace bench-profiler bench-agg bench-intranode bench-forensics bench-scale bench-aggtree bench-realtime fuzz examples tidy
+.PHONY: build test check cover bench bench-churn bench-lifecycle bench-trace bench-profiler bench-agg bench-forensics bench-scale bench-aggtree bench-realtime fuzz examples tidy
 
 build:
 	go build ./...
@@ -9,8 +9,8 @@ build:
 test:
 	go test ./...
 
-# Full gate: build + vet + tests with the race detector (the parallel
-# simnet driver is exercised under -race by its determinism tests).
+# Full gate: build + vet + tests with the race detector (the realtime
+# transport's socket readers and executor run concurrently).
 check:
 	go build ./...
 	go vet ./...
@@ -23,11 +23,6 @@ cover:
 # seeds per point, like the paper).
 bench:
 	go test -timeout 0 -bench=. -benchmem ./...
-
-# One Figure 6 point under both simnet drivers: prints wall-clock
-# speedup and cross-checks that results are bit-identical.
-bench-smoke:
-	go run ./cmd/p2bench -exp smoke
 
 # The churn experiment: crash/rejoin a 21-node ring with the §3.1
 # detectors deployed; prints the repair/detection table and writes
@@ -53,28 +48,21 @@ bench-profiler:
 	go run ./cmd/p2bench -exp profiler -json
 
 # Incremental aggregate maintenance: per-delta rescans vs O(delta)
-# accumulators over a churning table, plus the 4-way determinism matrix;
-# writes BENCH_agg.json.
+# accumulators over a churning table, plus the incremental-vs-rescan
+# emissions check; writes BENCH_agg.json.
 bench-agg:
 	go run ./cmd/p2bench -exp agg -json
 
-# Intra-node strand scheduling: ExecSingle vs ExecMulti over a worker
-# sweep on one wide fan-out node, fingerprint-checked against the
-# sequential run and composed with both simnet drivers; writes
-# BENCH_intranode.json.
-bench-intranode:
-	go run ./cmd/p2bench -exp intranode -json
-
 # Durable trace store forensics: traced churn with the store off vs on
 # (write overhead, bytes/record, restart markers), ancestor-query latency
-# at 1/10/100-window horizons, and the (store)x(driver) determinism
-# matrix; writes BENCH_forensics.json.
+# at 1/10/100-window horizons, and the store off-vs-on determinism
+# check; writes BENCH_forensics.json.
 bench-forensics:
 	go run ./cmd/p2bench -exp forensics -json
 
 # The scale wall: 100/1k/10k-host Chord sweep with bytes-per-host and
 # events/sec curves, the shared-vs-private plan memory gate, and the
-# (shared|private)x(seq|par) fingerprint check; writes BENCH_scale.json.
+# shared-vs-private fingerprint check; writes BENCH_scale.json.
 bench-scale:
 	go run ./cmd/p2bench -exp scale -json
 

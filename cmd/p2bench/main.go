@@ -10,24 +10,20 @@
 //	p2bench -exp fig5           # piggybacked rules
 //	p2bench -exp fig6           # proactive consistency probes
 //	p2bench -exp fig7           # consistent snapshots
-//	p2bench -exp smoke          # one fig6 point in both drivers + speedup
 //	p2bench -exp churn          # crash/rejoin churn with §3.1 detectors
 //	p2bench -exp lifecycle      # install/measure/uninstall each §3.1 detector
 //	p2bench -exp scenario -scenario f.txt   # replay a fault scenario file
 //	p2bench -exp trace          # export a causal Chrome trace + Prometheus scrape
 //	p2bench -exp profiler       # stats-publication overhead on the churn run
-//	p2bench -exp intranode      # intra-node strand scheduler speedup sweep
 //	p2bench -exp forensics      # durable trace store: overhead + lineage queries
 //	p2bench -exp scale          # 100/1k/10k-host sweep: bytes/host + events/sec
 //	p2bench -exp aggtree        # in-network aggregation trees vs flat collection
 //	p2bench -exp realtime       # wall-clock UDP ingest: 100k+ events/sec over loopback
 //
-// -parallel runs every ring on simnet's conservative parallel driver
-// (same virtual-time results, different wall clock); -workers bounds its
-// worker pool (0 = GOMAXPROCS). -json additionally writes each
-// experiment's result to BENCH_<exp>.json. -cpuprofile/-memprofile write
-// pprof profiles covering the selected experiment(s) (see EXPERIMENTS.md
-// for the workflow).
+// -json additionally writes each experiment's result to
+// BENCH_<exp>.json. -cpuprofile/-memprofile write pprof profiles
+// covering the selected experiment(s) (see EXPERIMENTS.md for the
+// workflow).
 package main
 
 import (
@@ -44,13 +40,11 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: logging, fig4, fig5, fig6, fig7, smoke, ablation, churn, lifecycle, scenario, trace, profiler, intranode, forensics, scale, aggtree, realtime, all")
+		exp      = flag.String("exp", "all", "experiment: logging, fig4, fig5, fig6, fig7, ablation, churn, lifecycle, scenario, trace, profiler, forensics, scale, aggtree, realtime, all")
 		seed     = flag.Int64("seed", 42, "random seed")
-		parallel = flag.Bool("parallel", false, "run rings on the conservative parallel simnet driver")
-		workers  = flag.Int("workers", 0, "parallel worker pool size (0 = GOMAXPROCS)")
 		jsonOut  = flag.Bool("json", false, "also write each experiment's result to BENCH_<exp>.json")
 		scenario = flag.String("scenario", "", "fault scenario file for -exp scenario (see internal/faults.Parse)")
-		quick    = flag.Bool("quick", false, "shrink -exp lifecycle/trace/intranode/forensics/scale/aggtree to a smoke-sized run (CI)")
+		quick    = flag.Bool("quick", false, "shrink -exp lifecycle/trace/forensics/scale/aggtree to a smoke-sized run (CI)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		rtRate   = flag.Int("rate", 0, "-exp realtime: offered events/sec (0 = experiment default)")
@@ -58,8 +52,6 @@ func main() {
 		rtConns  = flag.Int("conns", 0, "-exp realtime: generator connections (0 = default 2)")
 	)
 	flag.Parse()
-	bench.Parallel = *parallel
-	bench.Workers = *workers
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -134,22 +126,6 @@ func main() {
 			fmt.Print(bench.FormatTable(
 				"Figure 7: consistent snapshots at increasing rates (1/s)", s))
 			payload = s
-		case "smoke":
-			res, err := bench.SpeedupSmoke(*seed, *workers)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println("Smoke: Figure 6 point (consistency probes at 1/4 Hz), sequential vs parallel driver")
-			fmt.Printf("  sequential: wall=%8.2fs  %v\n", res.SeqWall.Seconds(), res.Seq)
-			fmt.Printf("  parallel  : wall=%8.2fs  %v\n", res.ParWall.Seconds(), res.Par)
-			fmt.Printf("  speedup: %.2fx on %d CPU(s); results identical: %v\n",
-				res.Speedup(), runtime.NumCPU(), res.Match)
-			fmt.Printf("  windows: %d, mean runnable hosts/window: %.1f (available concurrency)\n",
-				res.Stats.Windows, res.Occupancy())
-			if !res.Match {
-				log.Fatal("determinism contract violated: drivers disagree")
-			}
-			payload = res
 		case "ablation":
 			idx, scan, err := bench.AblationIndexedJoins(*seed)
 			if err != nil {
@@ -228,20 +204,6 @@ func main() {
 				log.Fatal("per-query accounting invariant violated")
 			}
 			payload = res
-		case "intranode":
-			res, err := bench.Intranode(*seed, *quick)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println("Intra-node: conflict-free strand scheduling, one wide fan-out per tick")
-			fmt.Println(res)
-			if !res.FingerprintOK {
-				log.Fatal("determinism contract violated: ExecMulti diverged from ExecSingle")
-			}
-			if !res.RingMatch {
-				log.Fatal("determinism contract violated: (ExecMode x simnet driver) rings disagree")
-			}
-			payload = res
 		case "forensics":
 			res, err := bench.Forensics(*seed, *quick)
 			if err != nil {
@@ -268,7 +230,7 @@ func main() {
 			}
 			fmt.Print(bench.FormatScale(res))
 			if !res.FingerprintOK {
-				log.Fatal("determinism contract violated: (shared|private plans) x (seq|par driver) rings disagree")
+				log.Fatal("determinism contract violated: shared and private plans' rings disagree")
 			}
 			if !res.ReductionOK {
 				log.Fatalf("scale contract violated: shared plans reduce install bytes/host only %.2fx, want >= %.0fx",
@@ -296,7 +258,7 @@ func main() {
 					res.Tree.MaxFanIn, res.FanInBound, res.FanInReduction, bench.AggTreeMinFanInReduction)
 			}
 			if !res.TreeFPIdentical || !res.FlatFPIdentical || !res.ResultFPEqual {
-				log.Fatal("determinism contract violated: (tree|flat) x (seq|par) cells disagree")
+				log.Fatal("determinism contract violated: aggtree reruns or tree/flat results disagree")
 			}
 			if res.Tree.BilledBusy <= 0 {
 				log.Fatal("aggtree contract violated: no busy-time billed to the monitoring query")

@@ -63,9 +63,9 @@ type ForensicsResult struct {
 	// investigation surface for the same question ("ancestors of ID at
 	// node"), exercising parse → run → render end to end.
 	InvestigateLines int
-	// FingerprintOK reports the 4-way determinism check: a traced ring
-	// run under (store off|on) x (sequential|parallel simnet driver)
-	// produced byte-identical emissions fingerprints — the store's CPU
+	// FingerprintOK reports the determinism check: a traced ring run
+	// with the store off and on produced byte-identical emissions
+	// fingerprints — the store's CPU
 	// bill is visible in the metrics but never perturbs virtual time,
 	// tuple IDs, table contents, or the watch stream.
 	FingerprintOK bool
@@ -152,7 +152,6 @@ func Forensics(seed int64, quick bool) (*ForensicsResult, error) {
 		r, _, err := chord.RunChurn(chord.ChurnConfig{
 			N: n, Seed: seed, Victims: victims,
 			Converge: converge, End: end,
-			Parallel: Parallel, Workers: Workers,
 			Detectors:  churnDetectors(),
 			AlarmNames: churnAlarms,
 			Tracing:    &tcfg,
@@ -254,25 +253,20 @@ func Forensics(seed int64, quick bool) (*ForensicsResult, error) {
 		res.AccountingErr = err.Error()
 	}
 
-	// 4-way determinism: (store off|on) x (seq|par simnet driver) on a
-	// small traced ring with cross-node lookups.
+	// Determinism: store off vs on on a small traced ring with
+	// cross-node lookups.
 	fpN, fpRun := 5, 45.0
-	combos := []struct {
-		store bool
-		par   bool
-	}{{false, false}, {false, true}, {true, false}, {true, true}}
 	var first string
 	res.FingerprintOK = true
-	for i, c := range combos {
+	for i, store := range []bool{false, true} {
 		var sc *tracestore.Config
-		if c.store {
+		if store {
 			cfg := tracestore.DefaultConfig()
 			cfg.WindowSeconds = window
 			sc = &cfg
 		}
 		fr, err := chord.NewRing(chord.RingConfig{
 			N: fpN, Seed: seed, Tracing: &tcfg, TraceStore: sc,
-			Parallel: c.par, Workers: 4,
 		})
 		if err != nil {
 			return nil, err
@@ -315,7 +309,7 @@ func FormatForensics(res *ForensicsResult) string {
 	}
 	fmt.Fprintf(&b, "  query surface         : %q -> %d lines\n",
 		fmt.Sprintf("ancestors of %d at %s", res.RootID, res.RootNode), res.InvestigateLines)
-	fmt.Fprintf(&b, "  4-way (store off|on)x(seq|par): emissions identical=%v\n", res.FingerprintOK)
+	fmt.Fprintf(&b, "  store off vs on       : emissions identical=%v\n", res.FingerprintOK)
 	fmt.Fprintf(&b, "  accounting            : %s\n", formatAccounting(res.AccountingErr))
 	return b.String()
 }

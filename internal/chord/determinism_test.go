@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"p2go/internal/trace"
 	"p2go/internal/tuple"
 )
 
@@ -36,41 +37,44 @@ func ringFingerprint(r *Ring) string {
 	return b.String()
 }
 
-// TestParallelDeterminism21 is the PR's correctness spine: the paper's
-// 21-node Chord convergence workload (the TestConvergence21 scenario,
-// plus message loss to exercise the per-link RNG streams) must produce
-// bit-identical metrics, drop counts, and final table contents on every
-// node under the sequential and the parallel driver.
-func TestParallelDeterminism21(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two 21-node 300s rings")
+// requireSame fails the test when two fingerprints of what should be
+// the same run differ, quoting the neighbourhood of the first
+// differing byte.
+func requireSame(t *testing.T, what, first, second string) {
+	t.Helper()
+	if first == second {
+		return
 	}
-	build := func(parallel bool) string {
-		r, err := NewRing(RingConfig{
-			N: 21, Seed: 42, LossProb: 0.02,
-			Parallel: parallel, Workers: 8,
+	i := 0
+	for i < len(first) && i < len(second) && first[i] == second[i] {
+		i++
+	}
+	lo := max(0, i-200)
+	t.Fatalf("two same-seed %s diverged at byte %d:\n...first:  %q\n...second: %q",
+		what, i, first[lo:min(len(first), i+200)], second[lo:min(len(second), i+200)])
+}
+
+// TestTracedChurnDeterminism21: a short traced 21-node churn run twice
+// on one seed leaves identical rings, tracer tables included. Crashes
+// and rejoins make rows expire together, so this pins the order in
+// which same-instant expiries reach the tracer's tupleLog.
+func TestTracedChurnDeterminism21(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two traced 21-node rings")
+	}
+	build := func() string {
+		tc := trace.DefaultConfig()
+		r, res, err := RunChurn(ChurnConfig{
+			Seed: 42, Converge: 40, CrashAt: 10, RejoinAt: 20, End: 40,
+			Tracing: &tc,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Run(300)
-		if parallel {
-			// The parallel driver must also leave the ring converged.
-			if bad := r.CheckRing(r.Addrs); len(bad) > 0 {
-				t.Errorf("parallel ring not converged after 300s: %v", bad)
-			}
+		if r.Node(r.Addrs[0]).Store().Get(trace.TupleLogTable) == nil {
+			t.Fatal("traced run has no tupleLog table")
 		}
-		return ringFingerprint(r)
+		return fmt.Sprintf("%+v\n", res) + ringFingerprint(r)
 	}
-	seq := build(false)
-	par := build(true)
-	if seq != par {
-		i := 0
-		for i < len(seq) && i < len(par) && seq[i] == par[i] {
-			i++
-		}
-		lo := max(0, i-200)
-		t.Fatalf("sequential and parallel runs diverged at byte %d:\n...seq: %q\n...par: %q",
-			i, seq[lo:min(len(seq), i+200)], par[lo:min(len(par), i+200)])
-	}
+	requireSame(t, "traced churn runs", build(), build())
 }

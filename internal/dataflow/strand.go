@@ -151,7 +151,7 @@ type AggSpec struct {
 // A Plan carries no execution state, is never written after the planner
 // returns it, and may therefore be shared by every node running the same
 // program ("plan once, instantiate N times") — including nodes running
-// concurrently under the parallel drivers, since concurrent readers of
+// concurrently on different goroutines, since concurrent readers of
 // immutable data race with nobody.
 type Plan struct {
 	// RuleID is the rule label (possibly planner-generated).
@@ -178,10 +178,6 @@ type Plan struct {
 	// AggPlan is non-nil when the planner proved the aggregate eligible
 	// for incremental maintenance (see planner's analyzeAggMaint).
 	AggPlan *AggPlan
-	// Footprint is the static read/write table footprint (see
-	// footprint.go); the engine's intra-node scheduler consults it to
-	// run non-conflicting strands of one fan-out concurrently.
-	Footprint Footprint
 	// Stages is the number of stateful (join) stages.
 	Stages int
 }

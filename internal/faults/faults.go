@@ -6,15 +6,12 @@
 //
 // The paper's monitors (§3.1) exist to catch a misbehaving overlay;
 // this package is what makes the overlay misbehave, on purpose and
-// reproducibly. Every fault event is armed as an UNATTRIBUTED scheduler
-// event, which the parallel driver treats as a window barrier: the
-// fault mutates shared network state (down flags, partition table, link
-// faults) only while no worker is running, and the per-message fault
-// randomness comes from the sender-owned link RNG streams. A faulty run
-// is therefore bit-identical under the Sequential and Parallel drivers
-// for the same seed — the determinism contract of the healthy network
-// extends to injured ones (enforced by TestScenarioDeterminism here and
-// chord.TestChurnDeterminism21).
+// reproducibly. Every fault event is armed as a scheduler event at its
+// virtual time, and the per-message fault randomness comes from the
+// sender-owned link RNG streams. A faulty run is therefore bit-identical
+// when repeated with the same seed — the determinism contract of the
+// healthy network extends to injured ones (enforced by
+// TestScenarioDeterminism here and chord.TestChurnDeterminism21).
 //
 // Scenarios are plain Go values (Scenario/Event) or a tiny text format
 // (see Parse) loadable by cmd/p2bench.
@@ -159,9 +156,8 @@ type Injector struct {
 
 // Arm validates the scenario and schedules every event (plus the
 // automatic reversion of events with a Duration) on the network's
-// scheduler as unattributed events — window barriers under the parallel
-// driver. Call before Run; events in the past are clamped to now by the
-// scheduler.
+// scheduler. Call before Run; events in the past are clamped to now by
+// the scheduler.
 func Arm(net *simnet.Network, sc Scenario) (*Injector, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -187,8 +183,8 @@ func Arm(net *simnet.Network, sc Scenario) (*Injector, error) {
 	return inj, nil
 }
 
-// apply executes one fault event. It runs as an unattributed scheduler
-// event, i.e. in driver context with no worker running.
+// apply executes one fault event as a scheduler event, between node
+// tasks.
 func (inj *Injector) apply(ev Event) {
 	inj.applied++
 	now := inj.net.Sim().Now()

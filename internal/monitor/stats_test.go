@@ -50,7 +50,7 @@ func TestStatsProfilerMatchesEngineMetrics(t *testing.T) {
 	}
 
 	// The published counter set is the node counters plus the
-	// observability extras (FanoutStats, trace-store totals); all are
+	// observability extras (trace-store totals); all are
 	// monotone, so the same snapshot-window bound applies.
 	lowNode := make(map[string]float64)
 	highNode := make(map[string]float64)

@@ -14,48 +14,19 @@ import (
 	"p2go/internal/tuple"
 )
 
-// Mode selects the execution driver for Network.Run.
-type Mode int
-
-const (
-	// Sequential executes every event on the calling goroutine in
-	// global virtual-time order (the classic discrete-event loop).
-	Sequential Mode = iota
-	// Parallel executes independent hosts concurrently inside
-	// conservative lookahead windows (see parallel.go). Virtual-time
-	// behavior is identical to Sequential: same per-node metrics,
-	// traces, drop counts, and final table contents for the same seed.
-	Parallel
-)
-
 // Config configures a simulated network.
 type Config struct {
 	// Seed drives every random choice (delays, loss, node RNGs), making
 	// runs reproducible.
 	Seed int64
 	// MinDelay and MaxDelay bound the uniformly sampled one-way message
-	// latency in seconds. Defaults: 5-25 ms. MinDelay also serves as
-	// the conservative lookahead of the Parallel driver: no message
-	// sent inside a window of that length can also arrive in it.
+	// latency in seconds. Defaults: 5-25 ms.
 	MinDelay, MaxDelay float64
 	// LossProb drops each message independently with this probability.
 	LossProb float64
 	// SweepInterval is how often each node expires soft state; default
 	// 1 s of virtual time.
 	SweepInterval float64
-	// Mode selects the execution driver (default Sequential).
-	Mode Mode
-	// Workers bounds the Parallel driver's worker pool; 0 means
-	// GOMAXPROCS. Ignored in Sequential mode.
-	Workers int
-	// ExecMode selects each node's intra-node strand execution strategy
-	// (engine.ExecAuto/ExecSingle/ExecMulti). Orthogonal to Mode: the
-	// two parallelism layers compose, and results are bit-identical
-	// across all four combinations.
-	ExecMode engine.ExecMode
-	// NodeWorkers bounds each node's intra-node worker pool; 0 means
-	// GOMAXPROCS.
-	NodeWorkers int
 	// Tracing, when non-nil, enables execution logging on every node.
 	Tracing *trace.Config
 	// TraceStore, when non-nil and Enabled, gives every traced node a
@@ -63,9 +34,7 @@ type Config struct {
 	// engine.Config.TraceStore).
 	TraceStore *tracestore.Config
 	// OnWatch and OnRuleError hook watched tuples and rule errors; the
-	// node address is prepended. In Parallel mode they are buffered
-	// during a window and replayed in virtual-time order at the window
-	// barrier, so implementations need not be goroutine-safe.
+	// node address is prepended.
 	OnWatch     func(now float64, node string, t tuple.Tuple)
 	OnRuleError func(now float64, node string, ruleID string, err error)
 }
@@ -81,15 +50,13 @@ func (c Config) withDefaults() Config {
 }
 
 // link is the sender-owned state of one directed link: its private
-// delay/loss RNG stream and the FIFO high-water mark. Only the source
-// host's execution touches it, so links never need locking.
+// delay/loss RNG stream and the FIFO high-water mark.
 type link struct {
 	rng         *rand.Rand
 	lastArrival float64
 }
 
 type host struct {
-	idx       int32 // position in Network.byIdx; tags this host's events
 	node      *engine.Node
 	addr      string
 	queue     []simTask
@@ -97,13 +64,9 @@ type host struct {
 	busyUntil float64
 	kickAt    float64 // time of the scheduled kick; <0 when none
 	down      bool
-	// now is the virtual time of the task currently (or most recently)
-	// executing on this host; the node's clock reads it so that worker
-	// goroutines never consult the global clock mid-window.
-	now float64
 	// rng staggers this host's periodic triggers. Deriving it from the
-	// host address (not a shared stream) keeps draws independent of the
-	// order hosts execute in.
+	// host address (not a shared stream) keeps draws independent of
+	// what other hosts do.
 	rng *rand.Rand
 	// links holds outgoing per-destination link state.
 	links map[string]*link
@@ -113,16 +76,12 @@ type host struct {
 	dropped int64
 	// faultMsgs counts message-level fault effects (targeted drops,
 	// duplication, reordering, delay jitter) this host's execution
-	// applied on its outgoing links. Host-owned like dropped, so
-	// parallel workers never contend on it.
+	// applied on its outgoing links.
 	faultMsgs metrics.Faults
 	// epoch counts process incarnations. Crash bumps it, orphaning
 	// every timer chain armed for the previous incarnation; Revive and
-	// Rejoin re-arm fresh chains. Only driver-context code writes it.
+	// Rejoin re-arm fresh chains.
 	epoch uint64
-	// exec is this host's window context while a parallel window is
-	// running, else nil (see parallel.go).
-	exec *hostExec
 }
 
 // LinkFault is message-level fault state for one directed link (or a
@@ -132,7 +91,7 @@ type host struct {
 // it may overtake or be overtaken), and delayed by an extra uniform
 // [0, ExtraDelay) seconds when ExtraDelay > 0. All randomness comes
 // from the sender-owned link RNG stream, so faulty runs stay
-// bit-reproducible under both drivers.
+// bit-reproducible.
 type LinkFault struct {
 	DropProb    float64
 	DupProb     float64
@@ -147,28 +106,17 @@ func (f LinkFault) IsZero() bool { return f == LinkFault{} }
 type Network struct {
 	sim   *Sim
 	cfg   Config
-	rng   *rand.Rand // setup-time stream (node seeds); driver context only
+	rng   *rand.Rand // setup-time stream (node seeds)
 	hosts map[string]*host
 	byIdx []*host
 	// blocked holds severed directed links (partition injection).
 	blocked map[[2]string]bool
 	// linkFaults holds message-level fault state per directed link;
-	// either endpoint may be the wildcard "*". Mutated only in driver
-	// context (window barriers), read by workers inside windows — the
-	// same discipline as blocked.
+	// either endpoint may be the wildcard "*".
 	linkFaults map[[2]string]LinkFault
 	// faultTotals accumulates node/link fault-injection counters
-	// (driver-context only; message-level counters live on hosts).
+	// (message-level counters live on hosts).
 	faultTotals metrics.Faults
-
-	// Parallel-driver scratch state (coordinator-only, never touched by
-	// workers): recycled window contexts and merge buffers, plus run
-	// statistics. See parallel.go.
-	execPool  []*hostExec
-	activeBuf []*host
-	defsBuf   []deferredEvent
-	recsBuf   []callbackRec
-	parStats  ParStats
 
 	// addrsCache holds the sorted address list; AddNode invalidates it,
 	// so Addrs is O(copy) instead of O(n log n) between topology changes.
@@ -194,7 +142,8 @@ func (n *Network) Sim() *Sim { return n.sim }
 // subSeed derives an independent RNG seed from the network seed and a
 // textual key (host address, link endpoints). Derivation by key rather
 // than by draw order makes every stream independent of the order hosts
-// and links come into existence or execute.
+// and links come into existence, so adding a host or a link leaves
+// every other stream's draws unchanged.
 func subSeed(seed int64, parts ...string) int64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -207,35 +156,12 @@ func subSeed(seed int64, parts ...string) int64 {
 	return int64(h.Sum64())
 }
 
-// schedule plans fn at absolute virtual time t on target's timeline.
-// issuer is the host whose execution requested it (nil from driver
-// context); inside a parallel window the request is buffered on the
-// issuing worker and merged deterministically at the window barrier.
-func (n *Network) schedule(issuer, target *host, t float64, fn func()) {
-	if issuer != nil && issuer.exec != nil {
-		issuer.exec.schedule(target, t, fn)
-		return
-	}
-	n.sim.at(t, target.idx, fn)
-}
-
-// hostClock is the node-facing clock: the time of the host's current
-// task when one is running ahead of the global clock (as workers do
-// mid-window), else the global clock (driver context).
-func (n *Network) hostClock(h *host) float64 {
-	if h.now > n.sim.now {
-		return h.now
-	}
-	return n.sim.now
-}
-
 // AddNode creates and wires a node. Programs are installed by the caller.
 func (n *Network) AddNode(addr string) (*engine.Node, error) {
 	if _, ok := n.hosts[addr]; ok {
 		return nil, fmt.Errorf("simnet: node %s already exists", addr)
 	}
 	h := &host{
-		idx:    int32(len(n.byIdx)),
 		addr:   addr,
 		kickAt: -1,
 		rng:    rand.New(rand.NewSource(subSeed(n.cfg.Seed, "host", addr))),
@@ -244,30 +170,18 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 	cfg := engine.Config{
 		Addr:       addr,
 		Seed:       n.rng.Int63(),
-		ExecMode:   n.cfg.ExecMode,
-		Workers:    n.cfg.NodeWorkers,
 		TraceStore: n.cfg.TraceStore,
-		Clock:      func() float64 { return n.hostClock(h) },
+		Clock:      n.sim.Now,
 		Send: func(dst string, env engine.Envelope, at float64) {
 			n.deliver(h, dst, env, at)
 		},
 		OnNewPeriodic: func(p *engine.Periodic) { n.schedulePeriodic(h, p) },
 	}
 	if n.cfg.OnWatch != nil {
-		cfg.OnWatch = func(now float64, t tuple.Tuple) {
-			if ex := h.exec; ex != nil {
-				ex.watches = append(ex.watches, watchRec{at: now, t: t})
-				return
-			}
-			n.cfg.OnWatch(now, addr, t)
-		}
+		cfg.OnWatch = func(now float64, t tuple.Tuple) { n.cfg.OnWatch(now, addr, t) }
 	}
 	if n.cfg.OnRuleError != nil {
 		cfg.OnRuleError = func(now float64, ruleID string, err error) {
-			if ex := h.exec; ex != nil {
-				ex.errors = append(ex.errors, errRec{at: now, ruleID: ruleID, err: err})
-				return
-			}
 			n.cfg.OnRuleError(now, addr, ruleID, err)
 		}
 	}
@@ -287,10 +201,10 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 			n.enqueue(h, h.node.Sweep, at)
 		}
 		next := at + n.cfg.SweepInterval
-		n.schedule(h, h, next, func() { sweep(next) })
+		n.sim.At(next, func() { sweep(next) })
 	}
 	first := n.sim.Now() + n.cfg.SweepInterval
-	n.schedule(nil, h, first, func() { sweep(first) })
+	n.sim.At(first, func() { sweep(first) })
 	return h.node, nil
 }
 
@@ -319,8 +233,7 @@ func (n *Network) Addrs() []string {
 }
 
 // Dropped reports messages lost to sampling, partitions, or dead nodes,
-// summed over the per-host counters (each host owns its counter so
-// parallel workers never contend on it).
+// summed over the per-host counters.
 func (n *Network) Dropped() int64 {
 	var total int64
 	for _, h := range n.byIdx {
@@ -356,9 +269,7 @@ func (n *Network) linkFault(src, dst string) LinkFault {
 
 // SetLinkFault installs (or replaces) message-level fault state on the
 // directed link src->dst; either endpoint may be "*". A zero fault
-// clears the entry. Must be called from driver context (between Run
-// calls, or from an unattributed scheduled event — fault injections act
-// as window barriers under the parallel driver).
+// clears the entry.
 func (n *Network) SetLinkFault(src, dst string, f LinkFault) {
 	n.faultTotals.LinkFaults++
 	if f.IsZero() {
@@ -444,14 +355,13 @@ func (n *Network) deliver(src *host, dst string, env engine.Envelope, at float64
 		}
 		arr := arrival
 		sent := at
-		n.schedule(src, h, arr, func() {
+		n.sim.At(arr, func() {
 			if h.down {
 				h.dropped++
 				return
 			}
 			// The receiver observes the hop as the message lands: pure
-			// receiver-owned measurement, safe under the parallel driver
-			// and invisible to billing and determinism.
+			// measurement, invisible to billing and determinism.
 			h.node.ObserveHop(arr - sent)
 			n.enqueue(h, func() float64 { return h.node.HandleMessage(env) }, arr)
 		})
@@ -504,14 +414,13 @@ func (n *Network) kick(h *host, now float64) {
 		if h.kickAt < 0 || h.kickAt > h.busyUntil {
 			h.kickAt = h.busyUntil
 			at := h.busyUntil
-			n.schedule(h, h, at, func() {
+			n.sim.At(at, func() {
 				h.kickAt = -1
 				n.kick(h, at)
 			})
 		}
 		return
 	}
-	h.now = now
 	for h.qhead < len(h.queue) {
 		if h.down {
 			h.clearQueue()
@@ -544,7 +453,7 @@ func (n *Network) kick(h *host, now float64) {
 // at their next firing and a revived host re-arms fresh ones.
 func (n *Network) schedulePeriodic(h *host, p *engine.Periodic) {
 	epoch := h.epoch
-	first := n.hostClock(h) + p.Period()*(0.05+0.95*h.rng.Float64())
+	first := n.sim.Now() + p.Period()*(0.05+0.95*h.rng.Float64())
 	var fire func(at float64)
 	fire = func(at float64) {
 		if h.down || h.epoch != epoch || p.Done() {
@@ -552,9 +461,9 @@ func (n *Network) schedulePeriodic(h *host, p *engine.Periodic) {
 		}
 		n.enqueue(h, func() float64 { return h.node.HandleTimer(p) }, at)
 		next := at + p.Period()
-		n.schedule(h, h, next, func() { fire(next) })
+		n.sim.At(next, func() { fire(next) })
 	}
-	n.schedule(h, h, first, func() { fire(first) })
+	n.sim.At(first, func() { fire(first) })
 }
 
 // rearmPeriodics arms a fresh timer chain for every live periodic
@@ -588,7 +497,7 @@ func (n *Network) InjectAt(at float64, addr string, t tuple.Tuple) error {
 	if at < n.sim.Now() {
 		at = n.sim.Now()
 	}
-	n.schedule(nil, h, at, func() {
+	n.sim.At(at, func() {
 		if !h.down {
 			n.enqueue(h, func() float64 { return h.node.HandleLocal(t) }, at)
 		}
@@ -598,7 +507,7 @@ func (n *Network) InjectAt(at float64, addr string, t tuple.Tuple) error {
 
 // Crash fail-stops a node: pending tasks are discarded, future messages
 // are dropped, and every timer chain is orphaned (the epoch bump kills
-// it at its next firing). Must be called from driver context.
+// it at its next firing).
 func (n *Network) Crash(addr string) {
 	if h, ok := n.hosts[addr]; ok && !h.down {
 		n.faultTotals.Crashes++
@@ -611,7 +520,7 @@ func (n *Network) Crash(addr string) {
 
 // Revive brings a crashed node back with its state intact (a
 // restart-with-disk model; Rejoin models soft-state loss) and re-arms
-// its periodic timers. Must be called from driver context.
+// its periodic timers.
 func (n *Network) Revive(addr string) {
 	if h, ok := n.hosts[addr]; ok && h.down {
 		n.faultTotals.Restarts++
@@ -624,8 +533,6 @@ func (n *Network) Revive(addr string) {
 // is gone (no delete events fire — the state of a dead process simply
 // vanishes), the engine replays the node's preamble so it bootstraps
 // exactly as it did at install time, and periodic timers are re-armed.
-// Must be called from driver context; the faults injector schedules it
-// as a window barrier, so both drivers execute it identically.
 func (n *Network) Rejoin(addr string) {
 	if h, ok := n.hosts[addr]; ok && h.down {
 		n.faultTotals.Rejoins++
@@ -661,15 +568,8 @@ func (n *Network) FaultTotals() metrics.Faults {
 	return total
 }
 
-// Run advances the simulation to absolute virtual time t using the
-// configured driver.
-func (n *Network) Run(t float64) {
-	if n.cfg.Mode == Parallel {
-		n.runParallel(t)
-		return
-	}
-	n.sim.Run(t)
-}
+// Run advances the simulation to absolute virtual time t.
+func (n *Network) Run(t float64) { n.sim.Run(t) }
 
 // RunFor advances the simulation by d seconds.
 func (n *Network) RunFor(d float64) { n.Run(n.sim.Now() + d) }

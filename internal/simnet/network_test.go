@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"p2go/internal/overlog"
@@ -197,6 +198,97 @@ f2 token@Dst(Seq) :- send@N(Dst, Seq).
 	}
 	if run() != run() {
 		t.Error("identical seeds must produce identical runs")
+	}
+}
+
+// runFaultyScenario drives a small lossy network through injections, a
+// crash, a partition, and watched tuples, and returns a full fingerprint
+// of the run: per-node metrics, table contents, watch stream, and drop
+// counts.
+func runFaultyScenario(t *testing.T) string {
+	t.Helper()
+	sim := NewSim()
+	var watched []string
+	net := NewNetwork(sim, Config{
+		Seed:     77,
+		MinDelay: 0.004, MaxDelay: 0.03,
+		LossProb: 0.15,
+		OnWatch: func(now float64, node string, tp tuple.Tuple) {
+			watched = append(watched, fmt.Sprintf("%.9f %s %v", now, node, tp))
+		},
+	})
+	prog := overlog.MustParse(`
+materialize(seen, infinity, infinity, keys(1,2)).
+watch(seen).
+f1 seen@N(Seq) :- token@N(Seq).
+f2 token@Dst(Seq) :- send@N(Dst, Seq).
+f3 send@N(Next, Seq + 1) :- token@N(Seq), peer@N(Next), Seq < 40.
+materialize(peer, infinity, infinity, keys(1)).
+`)
+	addrs := []string{"a", "b", "c", "d"}
+	for _, a := range addrs {
+		n, err := net.AddNode(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.InstallProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Ring of peers so tokens cascade around with random delays.
+	for i, a := range addrs {
+		next := addrs[(i+1)%len(addrs)]
+		if err := net.Inject(a, tuple.New("peer", tuple.Str(a), tuple.Str(next))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(0); i < 8; i++ {
+		dst := addrs[i%int64(len(addrs))]
+		err := net.Inject("a", tuple.New("send", tuple.Str("a"), tuple.Str(dst), tuple.Int(i*100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Run(2)
+	net.Crash("c")
+	net.Partition("a", "b")
+	net.RunFor(2)
+	net.Revive("c")
+	net.Heal("a", "b")
+	if err := net.InjectAt(sim.Now()+0.5, "c", tuple.New("send",
+		tuple.Str("c"), tuple.Str("d"), tuple.Int(9000))); err != nil {
+		t.Fatal(err)
+	}
+	net.RunFor(3)
+
+	var b []string
+	for _, a := range addrs {
+		n := net.Node(a)
+		b = append(b, fmt.Sprintf("%s metrics=%+v", a, n.Metrics()))
+		var rows []string
+		tb := n.Store().Get("seen")
+		tb.Scan(sim.Now(), func(tp tuple.Tuple) {
+			rows = append(rows, fmt.Sprintf("%v#%d", tp, tp.ID))
+		})
+		sort.Strings(rows)
+		b = append(b, rows...)
+	}
+	b = append(b, fmt.Sprintf("dropped=%d now=%v", net.Dropped(), sim.Now()))
+	b = append(b, watched...)
+	out := ""
+	for _, l := range b {
+		out += l + "\n"
+	}
+	return out
+}
+
+// TestFaultyScenarioReproducible: loss, a crash, a partition and a
+// scheduled injection leave bit-identical metrics, tables, drops and
+// watch streams when the run is repeated on one seed.
+func TestFaultyScenarioReproducible(t *testing.T) {
+	first, second := runFaultyScenario(t), runFaultyScenario(t)
+	if first != second {
+		t.Fatalf("same-seed runs diverged:\n--- first ---\n%s--- second ---\n%s", first, second)
 	}
 }
 

@@ -15,15 +15,11 @@ import (
 	"math"
 )
 
-// event is one scheduled callback. host attributes the event to the
-// simulated host whose state it touches (an index into Network.byIdx),
-// or -1 for unattributed events; the parallel driver may only run
-// host-attributed events concurrently.
+// event is one scheduled callback.
 type event struct {
-	at   float64
-	seq  uint64 // tie-break: FIFO among simultaneous events
-	host int32
-	fn   func()
+	at  float64
+	seq uint64 // tie-break: FIFO among simultaneous events
+	fn  func()
 }
 
 type eventHeap []event
@@ -60,43 +56,12 @@ func NewSim() *Sim { return &Sim{} }
 func (s *Sim) Now() float64 { return s.now }
 
 // At schedules fn at absolute virtual time t (clamped to now).
-func (s *Sim) At(t float64, fn func()) { s.at(t, -1, fn) }
-
-// at schedules a host-attributed event (host < 0 means unattributed).
-func (s *Sim) at(t float64, host int32, fn func()) {
+func (s *Sim) At(t float64, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	heap.Push(&s.pq, event{at: t, seq: s.seq, host: host, fn: fn})
-}
-
-// atBatch schedules a window's deferred events in one heap rebuild
-// instead of len(defs) sifts — at 1k-10k hosts the per-window merge is
-// the scheduler's hottest path. The caller guarantees the slice is in
-// the canonical delivery order for simultaneous events: seq numbers are
-// assigned in slice order, so (at, seq) pop order — the only order the
-// simulation observes — is exactly what len(defs) individual at() calls
-// would have produced. For the small batches that dominate small-ring
-// convergence the per-event push is cheaper than an O(pending) rebuild,
-// so batching kicks in only past a size threshold.
-func (s *Sim) atBatch(defs []deferredEvent) {
-	const rebuildThreshold = 32
-	if len(defs) < rebuildThreshold {
-		for _, d := range defs {
-			s.at(d.at, d.host, d.fn)
-		}
-		return
-	}
-	for _, d := range defs {
-		t := d.at
-		if t < s.now {
-			t = s.now
-		}
-		s.seq++
-		s.pq = append(s.pq, event{at: t, seq: s.seq, host: d.host, fn: d.fn})
-	}
-	heap.Init(&s.pq)
+	heap.Push(&s.pq, event{at: t, seq: s.seq, fn: fn})
 }
 
 // After schedules fn d seconds from now.

@@ -13,8 +13,10 @@
 package table
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"p2go/internal/tuple"
@@ -310,14 +312,15 @@ func (tb *Table) DeleteKey(sample tuple.Tuple) []tuple.Tuple {
 
 // Delete removes every row unifiable with the pattern: fields in pattern
 // that are non-nil must Equal the row's corresponding field; nil fields
-// are wildcards. It returns the removed tuples.
+// are wildcards. It returns the removed tuples in insertion order, the
+// order delete listeners see them in.
 func (tb *Table) Delete(pattern tuple.Tuple, now float64) []tuple.Tuple {
 	tb.expireLocked(now)
-	var removed []tuple.Tuple
+	var gone []row
 	for h, bucket := range tb.rows {
 		for i := 0; i < len(bucket); {
 			if matchPattern(bucket[i].t, pattern) {
-				removed = append(removed, bucket[i].t)
+				gone = append(gone, bucket[i])
 				delete(tb.seqs, bucket[i].seq)
 				bucket[i] = bucket[len(bucket)-1]
 				bucket = bucket[:len(bucket)-1]
@@ -332,10 +335,22 @@ func (tb *Table) Delete(pattern tuple.Tuple, now float64) []tuple.Tuple {
 			tb.rows[h] = bucket
 		}
 	}
-	for _, t := range removed {
-		tb.notify(OpDelete, t)
+	tb.notifyDeleted(gone)
+	var removed []tuple.Tuple
+	for _, r := range gone {
+		removed = append(removed, r.t)
 	}
 	return removed
+}
+
+// notifyDeleted fires OpDelete for rows removed together, sorted into
+// insertion order so listeners see the same order on every run whatever
+// Go's map iteration order was.
+func (tb *Table) notifyDeleted(gone []row) {
+	slices.SortFunc(gone, func(a, b row) int { return cmp.Compare(a.seq, b.seq) })
+	for i := range gone {
+		tb.notify(OpDelete, gone[i].t)
+	}
 }
 
 func matchPattern(t, pattern tuple.Tuple) bool {
@@ -411,11 +426,11 @@ func (tb *Table) expireLocked(now float64) {
 		return
 	}
 	next := math.Inf(1)
-	var expired []tuple.Tuple
+	var gone []row
 	for h, bucket := range tb.rows {
 		for i := 0; i < len(bucket); {
 			if bucket[i].expiry <= now {
-				expired = append(expired, bucket[i].t)
+				gone = append(gone, bucket[i])
 				delete(tb.seqs, bucket[i].seq)
 				bucket[i] = bucket[len(bucket)-1]
 				bucket = bucket[:len(bucket)-1]
@@ -434,9 +449,7 @@ func (tb *Table) expireLocked(now float64) {
 		}
 	}
 	tb.soonest = next
-	for _, t := range expired {
-		tb.notify(OpDelete, t)
-	}
+	tb.notifyDeleted(gone)
 }
 
 // Clear drops every row WITHOUT firing per-row delete listeners: it
@@ -458,21 +471,6 @@ func (tb *Table) Clear() {
 		}
 	}
 	tb.notify(OpClear, tuple.Tuple{Name: tb.spec.Name})
-}
-
-// SoonestExpiry returns the table's conservative lower bound on the
-// earliest row expiry, or +Inf when nothing can expire. Probing the
-// table at any time strictly before this bound is guaranteed not to
-// evict rows or fire delete listeners (the early return in
-// expireLocked) — the invariant the engine's speculative intra-node
-// scheduler relies on. Unlike NextExpiry it is O(1): the bound is
-// maintained incrementally and may be stale low (never high) after
-// TTL-refreshing re-inserts.
-func (tb *Table) SoonestExpiry() float64 {
-	if tb.spec.Lifetime < 0 {
-		return math.Inf(1)
-	}
-	return tb.soonest
 }
 
 // NextExpiry returns the earliest row expiry time, or +Inf when nothing

@@ -97,6 +97,70 @@ func TestExpiryFiresDeleteListeners(t *testing.T) {
 	}
 }
 
+// deleteOrder records the IDs of deleted succ rows in listener order.
+func deleteOrder(tb *Table) *[]uint64 {
+	var ids []uint64
+	tb.Subscribe(func(op Op, tp tuple.Tuple) {
+		if op == OpDelete {
+			ids = append(ids, tp.Field(1).AsID())
+		}
+	})
+	return &ids
+}
+
+// wantOrder fails unless got lists want's IDs in the same order.
+func wantOrder(t *testing.T, got, want []uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("listeners saw %d deletes %v, want %v", len(got), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("listeners saw deletes in order %v, want insertion order %v", got, want)
+		}
+	}
+}
+
+// TestExpiryDeletesInInsertionOrder: rows expiring at one instant are
+// reported in insertion order, not in the Go map order of their key
+// hashes (which differs between runs and made traced runs' tupleLog
+// irreproducible).
+func TestExpiryDeletesInInsertionOrder(t *testing.T) {
+	tb := New(Spec{Name: "succ", Lifetime: 5, MaxSize: Infinity, Keys: []int{2}})
+	got := deleteOrder(tb)
+	var want []uint64
+	for i := uint64(0); i < 16; i++ {
+		id := i * 7919 % 97
+		tb.Insert(succ("n1", id, "a"), 0)
+		want = append(want, id)
+	}
+	tb.Expire(5)
+	if tb.Count() != 0 {
+		t.Fatalf("count = %d after expiry, want 0", tb.Count())
+	}
+	wantOrder(t, *got, want)
+}
+
+// TestPatternDeleteInInsertionOrder: a wildcard Delete reports and
+// returns the rows it removes in insertion order.
+func TestPatternDeleteInInsertionOrder(t *testing.T) {
+	tb := New(Spec{Name: "succ", Lifetime: Infinity, MaxSize: Infinity, Keys: []int{2}})
+	got := deleteOrder(tb)
+	var want []uint64
+	for i := uint64(0); i < 16; i++ {
+		id := i * 7919 % 97
+		tb.Insert(succ("n1", id, "a"), 0)
+		want = append(want, id)
+	}
+	removed := tb.Delete(tuple.New("succ", tuple.Str("n1"), tuple.Nil, tuple.Str("a")), 0)
+	wantOrder(t, *got, want)
+	var ret []uint64
+	for _, tp := range removed {
+		ret = append(ret, tp.Field(1).AsID())
+	}
+	wantOrder(t, ret, want)
+}
+
 func TestFIFOEviction(t *testing.T) {
 	tb := New(Spec{Name: "succ", Lifetime: Infinity, MaxSize: 3, Keys: []int{2}})
 	for i := uint64(1); i <= 5; i++ {
