@@ -23,14 +23,14 @@ func (c *aggCtx) AggState(*Strand) *AggMaint {
 	return nil
 }
 
-// countStrand hand-rolls the compiled form of
+// countPlan hand-rolls the plan of
 //
 //	out@N(count<*>) :- tab@N(A, B).
 //
 // as a delta strand: the trigger binds only the group var N; Ops[0] is
 // the rescan join of tab itself.
-func countStrand() *Strand {
-	s := &Strand{Plan: &Plan{
+func countPlan() *Plan {
+	return &Plan{
 		RuleID:  "agg1",
 		Trigger: Trigger{Kind: TriggerDelta, Name: "tab", FieldSlots: []int{0, -1, -1}, FieldConsts: make([]tuple.Value, 3)},
 		NumVars: 3, VarNames: []string{"N", "A", "B"},
@@ -42,16 +42,17 @@ func countStrand() *Strand {
 		Agg:      &AggSpec{Op: "count", Slot: -1, ArgIndex: 1, EmitZero: true},
 		AggPlan:  &AggPlan{Primary: "tab", Filter: []AggFilterPos{{GroupIdx: 0, Slot: 0}}},
 		Stages:   1,
-	}}
-	return s
+	}
 }
+
+func countStrand() *Strand { return newStrand(countPlan()) }
 
 // minStrand: out@N(min<B>) :- tab@N(A, B).
 func minStrand() *Strand {
-	s := countStrand()
-	s.HeadArgs = []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Agg{Op: "min", Var: "B"}}
-	s.Agg = &AggSpec{Op: "min", Slot: 2, ArgIndex: 1}
-	return s
+	p := countPlan()
+	p.HeadArgs = []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Agg{Op: "min", Var: "B"}}
+	p.Agg = &AggSpec{Op: "min", Slot: 2, ArgIndex: 1}
+	return newStrand(p)
 }
 
 func row(n string, a, b int64) tuple.Tuple {
@@ -247,8 +248,9 @@ func benchSetup(b testing.TB, indexed bool) (*nullCtx, *Strand, tuple.Tuple) {
 	for i := int64(0); i < 64; i++ {
 		tb.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(i%8), tuple.Int(i)), 0) //nolint:errcheck
 	}
-	s := joinStrand()
-	s.Ops[1] = &CondOp{Expr: &overlog.Binary{Op: "<", L: &overlog.Var{Name: "B"}, R: &overlog.Lit{Val: tuple.Int(0)}}}
+	p := joinPlan()
+	p.Ops[1] = &CondOp{Expr: &overlog.Binary{Op: "<", L: &overlog.Var{Name: "B"}, R: &overlog.Lit{Val: tuple.Int(0)}}}
+	s := newStrand(p)
 	op := s.Ops[0].(*JoinOp)
 	if indexed {
 		op.IndexPositions = []int{0, 1}

@@ -118,7 +118,10 @@ type JoinOp struct {
 func (*JoinOp) opNode() {}
 
 // CondOp filters bindings by a boolean expression (a selection element).
-type CondOp struct{ Expr overlog.Expr }
+type CondOp struct {
+	Expr overlog.Expr
+	eval overlog.Fn // Expr compiled by Plan.Compile
+}
 
 func (*CondOp) opNode() {}
 
@@ -126,6 +129,7 @@ func (*CondOp) opNode() {}
 type AssignOp struct {
 	Slot int
 	Expr overlog.Expr
+	eval overlog.Fn // Expr compiled by Plan.Compile
 }
 
 func (*AssignOp) opNode() {}
@@ -171,6 +175,8 @@ type Plan struct {
 	// location expression at index 0.
 	HeadName string
 	HeadArgs []overlog.Expr
+	// head holds HeadArgs compiled by Compile, position for position.
+	head []overlog.Fn
 	// IsDelete marks delete rules.
 	IsDelete bool
 	// Agg is non-nil for aggregate rules.
@@ -182,10 +188,56 @@ type Plan struct {
 	Stages int
 }
 
+// Compile resolves every expression of the plan — each selection,
+// assignment and head argument — once into a closure over binding slots
+// (overlog.Compile), using VarNames for the slots. A bare variable in a
+// delete rule's head compiles to its slot's value, tuple.Nil when
+// unbound, which the delete treats as a wildcard. The planner compiles
+// each plan before returning it, so a shared plan is compiled once per
+// fleet; a plan must be compiled before it runs.
+func (p *Plan) Compile() {
+	slotOf := func(name string) int {
+		for i, n := range p.VarNames {
+			if n == name {
+				return i
+			}
+		}
+		return -1
+	}
+	for _, op := range p.Ops {
+		switch o := op.(type) {
+		case *CondOp:
+			o.eval = overlog.Compile(o.Expr, slotOf)
+		case *AssignOp:
+			o.eval = overlog.Compile(o.Expr, slotOf)
+		}
+	}
+	p.head = make([]overlog.Fn, len(p.HeadArgs))
+	for i, e := range p.HeadArgs {
+		if v, ok := e.(*overlog.Var); ok && p.IsDelete {
+			p.head[i] = slotOrNil(slotOf(v.Name))
+			continue
+		}
+		p.head[i] = overlog.Compile(e, slotOf)
+	}
+}
+
+// slotOrNil reads a delete head's bare variable: the slot's value, or
+// tuple.Nil (a wildcard) when the slot is unbound or the variable has
+// no slot (-1).
+func slotOrNil(slot int) overlog.Fn {
+	return func(b []tuple.Value, _ overlog.Context) (tuple.Value, error) {
+		if slot < 0 {
+			return tuple.Nil, nil
+		}
+		return b[slot], nil
+	}
+}
+
 // Instantiate wraps the plan in a fresh per-node executable strand. The
 // strand starts with empty scratch state; every per-node structure (the
-// binding frame, probe/undo buffers, the cached lookup closure) is
-// allocated lazily on first activation.
+// binding frame, probe/undo buffers) is allocated lazily on first
+// activation.
 func (p *Plan) Instantiate(queryID string) *Strand {
 	return &Strand{Plan: p, QueryID: queryID}
 }
@@ -209,7 +261,6 @@ type Strand struct {
 	// (a strand re-entered through a table-listener cascade).
 	bindScratch  Binding
 	bindBusy     bool
-	bindLookup   overlog.Lookup
 	probeScratch [][]tuple.Value
 	probeBusy    []bool
 	undoScratch  [][]int
@@ -302,8 +353,6 @@ func (s *Strand) acquireBinding() (b Binding, pooled bool) {
 	}
 	if cap(s.bindScratch) < s.NumVars {
 		s.bindScratch = make(Binding, s.NumVars)
-		scratch := s.bindScratch
-		s.bindLookup = scratch.lookup(s)
 	}
 	b = s.bindScratch[:s.NumVars]
 	for i := range b {
@@ -343,13 +392,12 @@ func (s *Strand) run(ctx Context, trig tuple.Tuple, b Binding) {
 		if s.Agg.EmitZero {
 			// Pre-evaluate the group-by values from the trigger
 			// binding so an empty activation can emit count 0.
-			lookup := s.lookupFor(b)
-			zero = make([]tuple.Value, 0, len(s.HeadArgs)-1)
-			for i, e := range s.HeadArgs {
+			zero = make([]tuple.Value, 0, len(s.head)-1)
+			for i, f := range s.head {
 				if i == s.Agg.ArgIndex {
 					continue
 				}
-				v, err := overlog.Eval(e, lookup, ctx)
+				v, err := f(b, ctx)
 				if err != nil {
 					ctx.RuleError(s.RuleID, err)
 					return
@@ -499,7 +547,7 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 		ctx.Bill(float64(visited) * CostJoinProbe)
 	case *CondOp:
 		ctx.Bill(CostEval)
-		v, err := overlog.Eval(op.Expr, s.lookupFor(b), ctx)
+		v, err := op.eval(b, ctx)
 		if err != nil {
 			ctx.RuleError(s.RuleID, err)
 			return
@@ -509,7 +557,7 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 		}
 	case *AssignOp:
 		ctx.Bill(CostEval)
-		v, err := overlog.Eval(op.Expr, s.lookupFor(b), ctx)
+		v, err := op.eval(b, ctx)
 		if err != nil {
 			ctx.RuleError(s.RuleID, err)
 			return
@@ -518,29 +566,6 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 		b[op.Slot] = v
 		s.exec(ctx, b, i+1, done)
 		b[op.Slot] = old
-	}
-}
-
-// lookupFor returns the expression-evaluator view of b, reusing the
-// closure cached alongside the pooled scratch frame (per-evaluation
-// closure allocation is measurable on the join hot path).
-func (s *Strand) lookupFor(b Binding) overlog.Lookup {
-	if len(b) > 0 && len(s.bindScratch) > 0 && &b[0] == &s.bindScratch[0] {
-		return s.bindLookup
-	}
-	return b.lookup(s)
-}
-
-// lookup adapts a binding to the expression evaluator.
-func (b Binding) lookup(s *Strand) overlog.Lookup {
-	return func(name string) (tuple.Value, bool) {
-		for i, n := range s.VarNames {
-			if n == name {
-				v := b[i]
-				return v, !v.IsNil()
-			}
-		}
-		return tuple.Nil, false
 	}
 }
 
@@ -587,21 +612,9 @@ func unbind(b Binding, undo []int) {
 // emit builds and routes the head tuple for a completed binding.
 func (s *Strand) emit(ctx Context, b Binding) {
 	ctx.Bill(CostHead)
-	fields := make([]tuple.Value, len(s.HeadArgs))
-	lookup := s.lookupFor(b)
-	for i, e := range s.HeadArgs {
-		if s.IsDelete {
-			// Delete heads allow unbound variables as wildcards.
-			if v, ok := e.(*overlog.Var); ok {
-				if val, bound := lookup(v.Name); bound {
-					fields[i] = val
-				} else {
-					fields[i] = tuple.Nil
-				}
-				continue
-			}
-		}
-		v, err := overlog.Eval(e, lookup, ctx)
+	fields := make([]tuple.Value, len(s.head))
+	for i, f := range s.head {
+		v, err := f(b, ctx)
 		if err != nil {
 			ctx.RuleError(s.RuleID, err)
 			return
@@ -635,13 +648,12 @@ func newAggState(*Strand) *aggState {
 // position) for a completed binding, with their grouping key. ok=false
 // means an evaluation error was reported and the binding is dropped.
 func (s *Strand) evalGroup(ctx Context, b Binding) (groupVals []tuple.Value, key uint64, ok bool) {
-	lookup := s.lookupFor(b)
-	groupVals = make([]tuple.Value, 0, len(s.HeadArgs)-1)
-	for i, e := range s.HeadArgs {
+	groupVals = make([]tuple.Value, 0, len(s.head)-1)
+	for i, f := range s.head {
 		if i == s.Agg.ArgIndex {
 			continue
 		}
-		v, err := overlog.Eval(e, lookup, ctx)
+		v, err := f(b, ctx)
 		if err != nil {
 			ctx.RuleError(s.RuleID, err)
 			return nil, 0, false

@@ -61,7 +61,7 @@ func TestIndexedJoinMatchesScanFallback(t *testing.T) {
 // TestMinMaxEmptyEmitsNothing: min/max over zero matches emit no head.
 func TestMinMaxEmptyEmitsNothing(t *testing.T) {
 	ctx := newFakeCtx(t)
-	s := &Strand{Plan: &Plan{
+	s := newStrand(&Plan{
 		RuleID:  "m",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 		NumVars: 3, VarNames: []string{"N", "K", "V"},
@@ -72,7 +72,7 @@ func TestMinMaxEmptyEmitsNothing(t *testing.T) {
 		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Agg{Op: "min", Var: "V"}},
 		Agg:      &AggSpec{Op: "min", Slot: 2, ArgIndex: 1},
 		Stages:   1,
-	}}
+	})
 	s.Run(ctx, tuple.New("probe", tuple.Str("n1")))
 	if len(ctx.heads) != 0 {
 		t.Errorf("min over empty emitted %v", ctx.heads)
@@ -82,7 +82,7 @@ func TestMinMaxEmptyEmitsNothing(t *testing.T) {
 // TestCountZeroEmission at the dataflow level (EmitZero set).
 func TestCountZeroEmission(t *testing.T) {
 	ctx := newFakeCtx(t)
-	s := &Strand{Plan: &Plan{
+	s := newStrand(&Plan{
 		RuleID:  "c",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0, 1}, FieldConsts: make([]tuple.Value, 2)},
 		NumVars: 3, VarNames: []string{"N", "G", "V"},
@@ -93,7 +93,7 @@ func TestCountZeroEmission(t *testing.T) {
 		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Var{Name: "G"}, &overlog.Agg{Op: "count"}},
 		Agg:      &AggSpec{Op: "count", Slot: -1, ArgIndex: 2, EmitZero: true},
 		Stages:   1,
-	}}
+	})
 	s.Run(ctx, tuple.New("probe", tuple.Str("n1"), tuple.Int(42)))
 	if len(ctx.heads) != 1 {
 		t.Fatalf("heads = %v", ctx.heads)
@@ -111,22 +111,24 @@ func TestCondAndAssignErrorsReported(t *testing.T) {
 	tab := ctx.store.Get("tab")
 	tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(1), tuple.Int(2)), 0) //nolint:errcheck
 	bad := &overlog.Binary{Op: "+", L: &overlog.Lit{Val: tuple.Bool(true)}, R: &overlog.Lit{Val: tuple.Int(1)}}
-	s := joinStrand()
-	s.Ops = []Op{
-		s.Ops[0],
+	p := joinPlan()
+	p.Ops = []Op{
+		p.Ops[0],
 		&CondOp{Expr: bad},
 	}
+	s := newStrand(p)
 	s.Run(ctx, tuple.New("ev", tuple.Str("n1"), tuple.Int(1)))
 	if len(ctx.errs) == 0 {
 		t.Error("condition type error not reported")
 	}
 	ctx2 := newFakeCtx(t)
 	ctx2.store.Get("tab").Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(1), tuple.Int(2)), 0) //nolint:errcheck
-	s2 := joinStrand()
-	s2.Ops = []Op{
-		s2.Ops[0],
+	p2 := joinPlan()
+	p2.Ops = []Op{
+		p2.Ops[0],
 		&AssignOp{Slot: 2, Expr: bad},
 	}
+	s2 := newStrand(p2)
 	s2.Run(ctx2, tuple.New("ev", tuple.Str("n1"), tuple.Int(1)))
 	if len(ctx2.errs) == 0 {
 		t.Error("assignment type error not reported")
@@ -137,7 +139,7 @@ func TestCondAndAssignErrorsReported(t *testing.T) {
 // rule error, not a panic.
 func TestHeadEvalErrorReported(t *testing.T) {
 	ctx := newFakeCtx(t)
-	s := &Strand{Plan: &Plan{
+	s := newStrand(&Plan{
 		RuleID:   "h",
 		Trigger:  Trigger{Kind: TriggerEvent, Name: "ev", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 		NumVars:  1,
@@ -145,7 +147,7 @@ func TestHeadEvalErrorReported(t *testing.T) {
 		HeadName: "out",
 		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"},
 			&overlog.Binary{Op: "/", L: &overlog.Lit{Val: tuple.Int(1)}, R: &overlog.Lit{Val: tuple.Int(0)}}},
-	}}
+	})
 	s.Run(ctx, tuple.New("ev", tuple.Str("n1")))
 	if len(ctx.errs) != 1 || len(ctx.heads) != 0 {
 		t.Errorf("errs=%v heads=%v", ctx.errs, ctx.heads)

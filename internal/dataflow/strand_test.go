@@ -38,10 +38,18 @@ func (c *fakeCtx) TracePrecond(s *Strand, stage int, t tuple.Tuple) { c.pres = a
 func (c *fakeCtx) TraceStageDone(s *Strand, stage int)              { c.dones = append(c.dones, stage) }
 func (c *fakeCtx) RuleError(ruleID string, err error)               { c.errs = append(c.errs, err) }
 
-// buildStrand compiles a single-strand rule with a hand-rolled pipeline.
-func joinStrand() *Strand {
-	// out@N(A, B) :- ev@N(A), tab@N(A, B), B != 0.
-	return &Strand{Plan: &Plan{
+// newStrand compiles a hand-built plan the way the planner does and
+// instantiates it.
+func newStrand(p *Plan) *Strand {
+	p.Compile()
+	return p.Instantiate("")
+}
+
+// joinPlan hand-rolls the plan of a single-strand rule:
+//
+//	out@N(A, B) :- ev@N(A), tab@N(A, B), B != 0.
+func joinPlan() *Plan {
+	return &Plan{
 		RuleID:  "r1",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "ev", FieldSlots: []int{0, 1}, FieldConsts: make([]tuple.Value, 2)},
 		NumVars: 3, VarNames: []string{"N", "A", "B"},
@@ -52,8 +60,10 @@ func joinStrand() *Strand {
 		HeadName: "out",
 		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Var{Name: "A"}, &overlog.Var{Name: "B"}},
 		Stages:   1,
-	}}
+	}
 }
+
+func joinStrand() *Strand { return newStrand(joinPlan()) }
 
 func newFakeCtx(t *testing.T) *fakeCtx {
 	t.Helper()
@@ -111,7 +121,7 @@ func TestStrandSelfUnification(t *testing.T) {
 	tab := ctx.store.Get("tab")
 	tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(5), tuple.Int(5)), 0) //nolint:errcheck
 	tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(5), tuple.Int(6)), 0) //nolint:errcheck
-	s := &Strand{Plan: &Plan{
+	s := newStrand(&Plan{
 		RuleID:  "r2",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "ev", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 		NumVars: 2, VarNames: []string{"N", "A"},
@@ -122,7 +132,7 @@ func TestStrandSelfUnification(t *testing.T) {
 		HeadName: "out",
 		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Var{Name: "A"}},
 		Stages:   1,
-	}}
+	})
 	s.Run(ctx, tuple.New("ev", tuple.Str("n1")))
 	if len(ctx.heads) != 1 || !ctx.heads[0].Field(1).Equal(tuple.Int(5)) {
 		t.Errorf("heads = %v, want single (5) match", ctx.heads)
@@ -165,7 +175,7 @@ func TestStrandArityMismatchIgnored(t *testing.T) {
 
 func TestDeleteHeadWildcard(t *testing.T) {
 	ctx := newFakeCtx(t)
-	s := &Strand{Plan: &Plan{
+	s := newStrand(&Plan{
 		RuleID:   "d1",
 		Trigger:  Trigger{Kind: TriggerEvent, Name: "drop", FieldSlots: []int{0, 1}, FieldConsts: make([]tuple.Value, 2)},
 		NumVars:  3,
@@ -173,7 +183,7 @@ func TestDeleteHeadWildcard(t *testing.T) {
 		HeadName: "tab",
 		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Var{Name: "K"}, &overlog.Var{Name: "V"}},
 		IsDelete: true,
-	}}
+	})
 	s.Run(ctx, tuple.New("drop", tuple.Str("n1"), tuple.Int(3)))
 	if len(ctx.dels) != 1 {
 		t.Fatalf("dels = %v", ctx.dels)
@@ -190,7 +200,7 @@ func TestAggregateGrouping(t *testing.T) {
 	for i, a := range []int64{1, 1, 2} {
 		tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(a), tuple.Int(int64(i))), 0) //nolint:errcheck
 	}
-	s := &Strand{Plan: &Plan{
+	s := newStrand(&Plan{
 		RuleID:  "a1",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 		NumVars: 3, VarNames: []string{"N", "A", "B"},
@@ -201,7 +211,7 @@ func TestAggregateGrouping(t *testing.T) {
 		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Var{Name: "A"}, &overlog.Agg{Op: "count"}},
 		Agg:      &AggSpec{Op: "count", Slot: -1, ArgIndex: 2},
 		Stages:   1,
-	}}
+	})
 	s.Run(ctx, tuple.New("probe", tuple.Str("n1")))
 	counts := map[int64]int64{}
 	for _, h := range ctx.heads {
@@ -219,7 +229,7 @@ func TestAggregateSumAvg(t *testing.T) {
 		tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(int64(i)), tuple.Int(v)), 0) //nolint:errcheck
 	}
 	mk := func(op string) *Strand {
-		return &Strand{Plan: &Plan{
+		return newStrand(&Plan{
 			RuleID:  op,
 			Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 			NumVars: 3, VarNames: []string{"N", "K", "V"},
@@ -230,7 +240,7 @@ func TestAggregateSumAvg(t *testing.T) {
 			HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Agg{Op: op, Var: "V"}},
 			Agg:      &AggSpec{Op: op, Slot: 2, ArgIndex: 1},
 			Stages:   1,
-		}}
+		})
 	}
 	for op, want := range map[string]float64{"sum": 12, "avg": 4} {
 		ctx.heads = nil

@@ -87,14 +87,21 @@ func TestRoundTripStability(t *testing.T) {
 	}
 }
 
+// parseSeeds seed FuzzParse and FuzzCompileMatchesEval.
+var parseSeeds = []string{
+	`materialize(link, 100, 5, keys(1)).`,
+	`p1 path@B(C, [B, A] + P, W1 + W2) :- link@A(B, W1), path@A(C, P, W2).`,
+	`cs9 consistency@N(P, C) :- periodic@N(E, 20), t@N(P, T, L), T < f_now() - 20, m@N(P, R), C := (R * 1.0) / L.`,
+	`d delete x@N(K, V) :- drop@N(K).`,
+	`a out@N(K, count<*>) :- ev@N(K), tab@N(K, D).`,
+}
+
 // FuzzParse: native fuzzing entry — arbitrary source must never panic,
 // and any program that parses must pretty-print to a reparsable form.
 func FuzzParse(f *testing.F) {
-	f.Add(`materialize(link, 100, 5, keys(1)).`)
-	f.Add(`p1 path@B(C, [B, A] + P, W1 + W2) :- link@A(B, W1), path@A(C, P, W2).`)
-	f.Add(`cs9 consistency@N(P, C) :- periodic@N(E, 20), t@N(P, T, L), T < f_now() - 20, m@N(P, R), C := (R * 1.0) / L.`)
-	f.Add(`d delete x@N(K, V) :- drop@N(K).`)
-	f.Add(`a out@N(K, count<*>) :- ev@N(K), tab@N(K, D).`)
+	for _, src := range parseSeeds {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse(src)
 		if err != nil {

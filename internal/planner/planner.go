@@ -362,6 +362,7 @@ func buildStrand(r *overlog.Rule, label string, env Env, preds []*overlog.Functo
 
 	s.NumVars = len(vt.names)
 	s.VarNames = vt.names
+	s.Compile()
 	if aggDelta && s.Agg != nil {
 		s.AggPlan = analyzeAggMaint(s, headAll, aggIdx)
 	}
